@@ -22,6 +22,19 @@ prefix, and the protocol's own recovery (publisher retransmission,
 subscriber catchup) covers the rest — that is the contract the
 quickstart (examples/rt_quickstart.py) asserts end to end.
 
+The simulator's CPU cost model is a sim device and is not used here:
+the shared node serves at ``speed=math.inf``, so a job's service time
+is the real time its callback takes.  Modelled costs would otherwise
+become real timers, and ``AsyncioClock`` turns every positive sub-ms
+deadline into at least 1 ms of epoll wait — one tick per job, whatever
+the real CPU cost.  For the same reason the in-process PHB↔SHB link
+has zero latency: it has no wire.
+
+A restarted PHB is built over a recovered SHB, so its child starts
+*cold* (knowledge passes unfiltered) until the SHB's epoch sync lands;
+a warm empty union would turn D ticks for the recovered subscriptions
+into final silence (PROTOCOL.md §11.2).
+
 Usage::
 
     python -m repro.adapters.rt.broker_main --port 7461 --data-dir /tmp/bk
@@ -31,6 +44,7 @@ from __future__ import annotations
 
 import argparse
 import asyncio
+import math
 import os
 import sys
 from typing import List
@@ -67,8 +81,9 @@ class BrokerProcess:
 
         # Both roles share one node, as in the paper's 1-broker
         # topology; the loopback link between them carries knowledge
-        # down and nacks/acks/subscriptions up.
-        node = Node(self.clock, "broker")
+        # down and nacks/acks/subscriptions up.  The node serves at
+        # real CPU speed: jobs run FIFO, one loop turn apiece.
+        node = Node(self.clock, "broker", speed=math.inf)
         self.phb = PublisherHostingBroker(
             self.clock, "phb", node=node, disk=self.disk,
             journal_volume=self.phb_journal,
@@ -81,13 +96,16 @@ class BrokerProcess:
             pfs_volume=self.pfs_volume,
             journal_volume=self.shb_journal,
         )
-        Broker.connect(self.phb, self.shb, latency_ms=0.1)
+        Broker.connect(self.phb, self.shb, latency_ms=0.0)
         for pubend in sorted(pubends):
             self.phb.register_release_child(pubend, self.shb.name)
         # The PHB's subscription union and release floor are volatile —
         # a restarted broker must re-announce the recovered registry
         # before any event flows, or the downstream knowledge filter
         # turns D ticks into silence (events the PFS then never logs).
+        # Until that epoch sync is applied the fresh union is empty, so
+        # the child starts cold: unfiltered knowledge is always safe.
+        self.phb.child_filter_ready[self.shb.name] = False
         self.shb.resync_upstream()
         self.listener = TcpListener()
         self.listener.on_connection(self._route)

@@ -43,7 +43,16 @@ class _RtHandle:
 
 
 class AsyncioClock:
-    """Wall-clock Clock adapter (epoch milliseconds) on an event loop."""
+    """Wall-clock Clock adapter (epoch milliseconds) on an event loop.
+
+    Cost: the selector rounds every positive timeout up to a whole
+    millisecond, so a deadline even 0.1 ms ahead costs at least 1 ms of
+    epoll wait, while a deadline at or before ``now`` runs on the next
+    loop turn with no wait.  That is why the sim's CPU cost model does
+    not carry over: a :class:`~repro.net.node.Node` on this clock serves
+    at ``speed=math.inf`` (its jobs complete at submit time), and
+    in-process links have zero latency.
+    """
 
     def __init__(self, loop: Optional[asyncio.AbstractEventLoop] = None) -> None:
         self._loop = loop if loop is not None else asyncio.get_event_loop()

@@ -41,9 +41,15 @@ class Node:
 
         The paper's brokers ran on 6-way SMP boxes; rather than model
         parallelism we fold aggregate capacity into ``speed``.
+
+        ``math.inf`` means the substrate's own execution time is the
+        service time: every modelled cost scales to 0, so each job
+        completes at its submit time, still one at a time in FIFO
+        order and still dropped by a crash.  A real-time broker uses
+        it, since its CPU is real (see ``adapters.rt.broker_main``).
         """
-        if speed <= 0:
-            raise ValueError("speed must be positive")
+        if not speed > 0:  # also rejects nan, which would poison deadlines
+            raise ValueError(f"speed must be > 0, got {speed!r}")
         self.scheduler = scheduler
         self.name = name
         self.speed = speed

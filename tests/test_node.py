@@ -1,5 +1,7 @@
 """Tests for the simulated node's CPU service model and crash semantics."""
 
+import math
+
 import pytest
 
 from repro.net.node import Node
@@ -62,6 +64,11 @@ class TestServiceModel:
         with pytest.raises(ValueError):
             node.submit(-1.0, lambda: None)
 
+    @pytest.mark.parametrize("speed", [0.0, -1.0, math.nan])
+    def test_speed_must_be_positive(self, sim, speed):
+        with pytest.raises(ValueError):
+            Node(sim, "n1", speed=speed)
+
     def test_work_submitted_from_callback_queues(self, sim):
         node = Node(sim, "n1")
         done = []
@@ -73,6 +80,32 @@ class TestServiceModel:
         node.submit(6.0, first)
         sim.run()
         assert done == [("first", 6.0), ("second", 10.0)]
+
+
+class TestInfiniteSpeed:
+    """``speed=math.inf``: the substrate's own execution time is the service time."""
+
+    def test_jobs_complete_at_submit_time_in_fifo_order(self, sim):
+        node = Node(sim, "n1", speed=math.inf)
+        done = []
+        sim.run_until(3.0)
+        node.submit(5.0, lambda: done.append(("a", sim.now)))
+        node.submit(3.0, lambda: done.append(("b", sim.now)))
+        node.submit(0.0, lambda: done.append(("c", sim.now)))
+        sim.run()
+        assert done == [("a", 3.0), ("b", 3.0), ("c", 3.0)]
+        assert node.busy.total_busy_ms == 0.0
+
+    def test_crash_still_drops_queued_work(self, sim):
+        node = Node(sim, "n1", speed=math.inf)
+        done = []
+        node.submit(5.0, lambda: done.append("a"))
+        node.submit(5.0, lambda: done.append("b"))
+        node.crash()
+        node.recover()
+        node.submit(1.0, lambda: done.append("c"))
+        sim.run()
+        assert done == ["c"]
 
 
 class TestCrash:

@@ -18,15 +18,17 @@ caller); the rt family spins a private asyncio loop with an exception
 handler doing the same.  Timings use short intervals and generous
 deadlines so the rt half stays robust on a loaded CI box.
 
-Substrate-specific clauses (exact virtual-time grids; TCP frame
-corruption; fsync-before-callback; torn-tail truncation) live in the
-non-parametrized classes at the bottom.
+Substrate-specific clauses (exact virtual-time grids; an infinite-speed
+node on the asyncio clock; TCP frame corruption; fsync-before-callback;
+torn-tail truncation) live in the non-parametrized classes at the bottom.
 """
 
 from __future__ import annotations
 
 import asyncio
+import math
 import os
+import time
 
 import pytest
 
@@ -390,6 +392,35 @@ class TestSimClockExactness:
         # grid, not 1000 accumulated float additions away from it.
         assert fired[-1] == 100.0
         assert all(abs(t - 0.1 * (i + 1)) < 1e-9 for i, t in enumerate(fired))
+
+
+class TestRtNodeSpeed:
+    """An rt node serves at real CPU speed: no timer wait per job."""
+
+    def test_infinite_speed_node_runs_jobs_fifo_without_timer_waits(self):
+        jobs = 1000
+
+        async def main():
+            loop = asyncio.get_running_loop()
+            node = Node(AsyncioClock(loop), "broker", speed=math.inf)
+            done, finished = [], loop.create_future()
+
+            def job(i: int) -> None:
+                done.append(i)
+                if len(done) == jobs:
+                    finished.set_result(time.perf_counter())
+
+            t0 = time.perf_counter()
+            for i in range(jobs):
+                # A modelled cost as the sim charges it (publish_ms): on
+                # this clock it would be a sub-ms timer, i.e. one 1-ms
+                # epoll tick per job.
+                node.submit(0.32, lambda i=i: job(i))
+            elapsed = await asyncio.wait_for(finished, 10.0) - t0
+            assert done == list(range(jobs))
+            assert elapsed < 0.5
+
+        asyncio.run(main())
 
 
 class TestRtTransportSpecifics:
