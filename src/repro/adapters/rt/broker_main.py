@@ -24,11 +24,20 @@ quickstart (examples/rt_quickstart.py) asserts end to end.
 
 The simulator's CPU cost model is a sim device and is not used here:
 the shared node serves at ``speed=math.inf``, so a job's service time
-is the real time its callback takes.  Modelled costs would otherwise
-become real timers, and ``AsyncioClock`` turns every positive sub-ms
-deadline into at least 1 ms of epoll wait — one tick per job, whatever
-the real CPU cost.  For the same reason the in-process PHB↔SHB link
-has zero latency: it has no wire.
+is the real time its callback takes, and one loop turn drains the
+node's whole queue.  Modelled costs would otherwise become real
+timers, and ``AsyncioClock`` turns every positive sub-ms deadline into
+at least 1 ms of epoll wait — one tick per job, whatever the real CPU
+cost.  For the same reason the in-process PHB↔SHB link has zero
+latency: it has no wire.
+
+One group commit is served as one batch.  The commit's durable
+callbacks queue one dissemination job per event, and one drain runs
+them all; the loopback link batches (``LOOPBACK_BATCH_MS``), so every
+update sent in that drain reaches the SHB as one transmission, folded
+by its batched intake into one constream pump per pubend — one
+``PFS.write_batch``.  The SHB batches its fan-out too: one send job per
+subscriber per pump (PROTOCOL.md §11.1).
 
 A restarted PHB is built over a recovered SHB, so its child starts
 *cold* (knowledge passes unfiltered) until the SHB's epoch sync lands;
@@ -59,6 +68,11 @@ from .clock import AsyncioClock
 from .storage import RealDisk
 from .transport import TcpConnection, TcpListener
 
+#: Batching window of the PHB→SHB loopback and the SHB's fan-out.  One
+#: millisecond is one epoll tick (``AsyncioClock``): a burst's whole
+#: drain lands in one window, and an idle event waits at most a tick.
+LOOPBACK_BATCH_MS = 1.0
+
 
 class BrokerProcess:
     """One-process PHB+SHB broker over the rt adapters."""
@@ -82,7 +96,7 @@ class BrokerProcess:
         # Both roles share one node, as in the paper's 1-broker
         # topology; the loopback link between them carries knowledge
         # down and nacks/acks/subscriptions up.  The node serves at
-        # real CPU speed: jobs run FIFO, one loop turn apiece.
+        # real CPU speed: one loop turn drains its FIFO queue.
         node = Node(self.clock, "broker", speed=math.inf)
         self.phb = PublisherHostingBroker(
             self.clock, "phb", node=node, disk=self.disk,
@@ -93,10 +107,13 @@ class BrokerProcess:
         self.shb = SubscriberHostingBroker(
             self.clock, "shb", sorted(pubends), node=node, disk=self.disk,
             commit_interval_ms=commit_interval_ms,
+            batch_window_ms=LOOPBACK_BATCH_MS,
             pfs_volume=self.pfs_volume,
             journal_volume=self.shb_journal,
         )
-        Broker.connect(self.phb, self.shb, latency_ms=0.0)
+        Broker.connect(
+            self.phb, self.shb, latency_ms=0.0, batch_window_ms=LOOPBACK_BATCH_MS
+        )
         for pubend in sorted(pubends):
             self.phb.register_release_child(pubend, self.shb.name)
         # The PHB's subscription union and release floor are volatile —

@@ -50,8 +50,12 @@ class AsyncioClock:
     epoll wait, while a deadline at or before ``now`` runs on the next
     loop turn with no wait.  That is why the sim's CPU cost model does
     not carry over: a :class:`~repro.net.node.Node` on this clock serves
-    at ``speed=math.inf`` (its jobs complete at submit time), and
-    in-process links have zero latency.
+    at ``speed=math.inf`` (one posted callback drains its whole queue),
+    and in-process links have zero latency.  A batching window is the
+    one deliberate wait: at 1 ms it is one epoll tick (see
+    ``adapters.rt.broker_main``).  A window must also exceed the float
+    ulp of epoch-ms ``now`` (about 2.4e-4 ms), or ``now + window`` is
+    just ``now``.
     """
 
     def __init__(self, loop: Optional[asyncio.AbstractEventLoop] = None) -> None:

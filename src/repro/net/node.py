@@ -20,6 +20,7 @@ re-initialize from their persistent stores, Section 4.1).
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from typing import Callable, Deque, List, Optional, Tuple
 
@@ -43,10 +44,12 @@ class Node:
         parallelism we fold aggregate capacity into ``speed``.
 
         ``math.inf`` means the substrate's own execution time is the
-        service time: every modelled cost scales to 0, so each job
-        completes at its submit time, still one at a time in FIFO
-        order and still dropped by a crash.  A real-time broker uses
-        it, since its CPU is real (see ``adapters.rt.broker_main``).
+        service time: every modelled cost scales to 0, and the node
+        *drains* — one scheduled turn serves the whole FIFO queue,
+        including jobs submitted during the drain, back to back (see
+        :meth:`_drain`).  A crash still drops the rest of the queue.  A
+        real-time broker uses it, since its CPU is real (see
+        ``adapters.rt.broker_main``).
         """
         if not speed > 0:  # also rejects nan, which would poison deadlines
             raise ValueError(f"speed must be > 0, got {speed!r}")
@@ -64,6 +67,9 @@ class Node:
         # that produce the periodic dips in Figure 6): while stalled, the
         # CPU finishes its current item but starts nothing new.
         self._stalled_until = 0.0
+        if speed == math.inf:
+            # Bound per instance, so finite-speed nodes pay no per-job test.
+            self._start_next = self._start_drain  # type: ignore[method-assign]
 
     # ------------------------------------------------------------------
     # State
@@ -121,22 +127,21 @@ class Node:
         # stall expires (new submissions would also trigger a start, but
         # queued work must not be forgotten).
         if self._in_service is None and self._queue:
-            epoch = self._epoch
-            self.scheduler.at(
-                self._stalled_until,
-                lambda: self._start_next() if epoch == self._epoch and self._in_service is None else None,
-            )
+            self._resume_after_stall()
+
+    def _resume_after_stall(self) -> None:
+        epoch = self._epoch
+        self.scheduler.at(
+            self._stalled_until,
+            lambda: self._start_next() if epoch == self._epoch and self._in_service is None else None,
+        )
 
     def _start_next(self) -> None:
         if self._down or not self._queue:
             return
         now = self.scheduler.now
         if now < self._stalled_until:
-            epoch = self._epoch
-            self.scheduler.at(
-                self._stalled_until,
-                lambda: self._start_next() if epoch == self._epoch and self._in_service is None else None,
-            )
+            self._resume_after_stall()
             return
         cost, fn = self._queue.popleft()
         epoch = self._epoch
@@ -152,6 +157,37 @@ class Node:
             fn()
         finally:
             if self._in_service is None:
+                self._start_next()
+
+    def _start_drain(self) -> None:
+        """``_start_next`` of a ``speed=math.inf`` node: post one drain."""
+        if self._down or not self._queue:
+            return
+        now = self.scheduler.now
+        if now < self._stalled_until:
+            self._resume_after_stall()
+            return
+        self._in_service = _BUSY
+        self.scheduler.post(now, self._drain, self._epoch, now)
+
+    def _drain(self, epoch: int, posted_ms: float) -> None:
+        """Serve the queue until it is empty, in one scheduled turn.
+
+        A job submitted by a job lands behind the rest of the queue and
+        runs in this same drain.  The epoch is checked between jobs: a
+        job that crashes the node (which clears the queue) ends the
+        drain, and so does one that crashes *and recovers* it, whose
+        fresh queue belongs to the new epoch's own drain.  A stall
+        begun since the drain was posted ends it too.  If a job raises,
+        ``finally`` posts a new drain for the jobs behind it.
+        """
+        queue = self._queue
+        try:
+            while queue and epoch == self._epoch and self._stalled_until <= posted_ms:
+                queue.popleft()[1]()
+        finally:
+            if epoch == self._epoch:
+                self._in_service = None
                 self._start_next()
 
     # ------------------------------------------------------------------

@@ -23,9 +23,9 @@ subscriber ever loses exactly-once delivery:
   any point leaves at least one SHB that can serve the subscriber.
 
 * **drain / leave** — quiesce an SHB (stop admitting subscriptions,
-  migrate every hosted one away, then detach) or an intermediate
-  (reparent its children to the grandparent, then detach).  Detaching
-  releases the departed broker's filter-union and release-aggregation
+  migrate every hosted one away, then detach).  An intermediate leaves
+  through the topology primitives (``reparent_broker`` its children to
+  the grandparent, then ``detach_broker``).  Detaching releases the departed broker's filter-union and release-aggregation
   state upstream so the tree's release protocol keeps advancing.
 
 Placement is pluggable: :func:`least_loaded_policy` (the default used
@@ -46,7 +46,6 @@ from ..broker.topology import (
     attach_intermediate,
     attach_shb,
     detach_broker,
-    reparent_broker,
 )
 from ..core import messages as M
 from ..net.link import Link
@@ -220,22 +219,6 @@ class Supervisor:
             handle.migrations.append(
                 self.migrate(sub_id, source, target, on_done=migrated)
             )
-
-    def drain_intermediate(self, mid: IntermediateBroker) -> None:
-        """Remove an intermediate: reparent its subtree, then detach.
-
-        Children hop up to the grandparent; their eager uplink resync
-        (subscription refresh, release re-report, curiosity kick)
-        re-warms the new parent, and anything in flight on the severed
-        links is recovered by the ordinary gap-check/nack machinery.
-        """
-        parent = self.overlay.parent_of(mid)
-        if parent is None:
-            raise ConfigurationError(f"{mid.name} has no parent")
-        for child_name in list(mid.child_names):
-            child = self.overlay.broker_by_name(child_name)
-            reparent_broker(self.overlay, child, parent)
-        detach_broker(self.overlay, mid)
 
     # ------------------------------------------------------------------
     # Migration

@@ -107,6 +107,82 @@ class TestInfiniteSpeed:
         sim.run()
         assert done == ["c"]
 
+    def test_jobs_submitted_mid_drain_run_in_the_same_drain(self, sim):
+        node = Node(sim, "n1", speed=math.inf)
+        done = []
+
+        def a():
+            done.append("a")
+            node.submit(2.0, lambda: done.append("c"))
+
+        node.submit(1.0, a)
+        node.submit(1.0, lambda: done.append("b"))
+        # An unrelated event due at the same instant, posted after the
+        # drain: it runs once the drain is over, not between its jobs.
+        sim.post(sim.now, lambda: done.append("other"))
+        sim.run()
+        assert done == ["a", "b", "c", "other"]
+        assert node.busy.total_busy_ms == 0.0
+
+    def test_job_that_crashes_the_node_drops_every_later_job(self, sim):
+        node = Node(sim, "n1", speed=math.inf)
+        done = []
+
+        def a():
+            done.append("a")
+            node.crash()
+            node.recover()
+            # A new epoch's job runs in its own drain; the old epoch's
+            # queue (b, c) is gone.
+            node.submit(1.0, lambda: done.append("d"))
+
+        node.submit(1.0, a)
+        node.submit(1.0, lambda: done.append("b"))
+        node.submit(1.0, lambda: done.append("c"))
+        sim.run()
+        assert done == ["a", "d"]
+
+    def test_raising_job_leaves_the_queue_served_on_a_later_turn(self, sim):
+        node = Node(sim, "n1", speed=math.inf)
+        done = []
+
+        def a():
+            done.append("a")
+            raise RuntimeError("job failed")
+
+        node.submit(1.0, a)
+        node.submit(1.0, lambda: done.append("b"))
+        node.submit(1.0, lambda: done.append("c"))
+        with pytest.raises(RuntimeError):
+            sim.run()
+        assert done == ["a"]
+        sim.run()
+        assert done == ["a", "b", "c"]
+        assert node.busy.total_busy_ms == 0.0
+
+    def test_stall_begun_mid_drain_holds_the_rest_of_the_queue(self, sim):
+        node = Node(sim, "n1", speed=math.inf)
+        done = []
+
+        def a():
+            done.append(("a", sim.now))
+            node.stall(5.0)
+
+        node.submit(1.0, a)
+        node.submit(1.0, lambda: done.append(("b", sim.now)))
+        sim.run()
+        assert done == [("a", 0.0), ("b", 5.0)]
+
+    def test_busy_time_stays_zero_across_drains(self, sim):
+        node = Node(sim, "n1", speed=math.inf)
+        for t in (1.0, 2.0, 3.0):
+            sim.run_until(t)
+            for cost in (5.0, 0.32, 0.0):
+                node.submit(cost, lambda: None)
+        sim.run()
+        assert node.busy.total_busy_ms == 0.0
+        assert node.queue_depth == 0
+
 
 class TestCrash:
     def test_submit_to_down_node_raises(self, sim):

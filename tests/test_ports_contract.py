@@ -395,7 +395,8 @@ class TestSimClockExactness:
 
 
 class TestRtNodeSpeed:
-    """An rt node serves at real CPU speed: no timer wait per job."""
+    """An rt node serves at real CPU speed: no timer wait per job, and
+    one loop turn drains its whole queue."""
 
     def test_infinite_speed_node_runs_jobs_fifo_without_timer_waits(self):
         jobs = 1000
@@ -404,21 +405,33 @@ class TestRtNodeSpeed:
             loop = asyncio.get_running_loop()
             node = Node(AsyncioClock(loop), "broker", speed=math.inf)
             done, finished = [], loop.create_future()
+            turns = 0
+
+            def count_turn() -> None:
+                # Re-armed with call_soon, so it runs once per loop turn.
+                nonlocal turns
+                turns += 1
+                if not finished.done():
+                    loop.call_soon(count_turn)
 
             def job(i: int) -> None:
                 done.append(i)
                 if len(done) == jobs:
-                    finished.set_result(time.perf_counter())
+                    finished.set_result((time.perf_counter(), turns))
 
+            loop.call_soon(count_turn)
             t0 = time.perf_counter()
             for i in range(jobs):
                 # A modelled cost as the sim charges it (publish_ms): on
                 # this clock it would be a sub-ms timer, i.e. one 1-ms
                 # epoll tick per job.
                 node.submit(0.32, lambda i=i: job(i))
-            elapsed = await asyncio.wait_for(finished, 10.0) - t0
+            t_end, turns_end = await asyncio.wait_for(finished, 10.0)
             assert done == list(range(jobs))
-            assert elapsed < 0.5
+            assert t_end - t0 < 0.5
+            # One drain serves all 1000 jobs: a fixed handful of loop
+            # turns, not one turn per job.
+            assert turns_end <= 3
 
         asyncio.run(main())
 
